@@ -94,7 +94,7 @@ fn run_intensity(
     let hps = HpsModel::default();
     let faulted = intensity > 0.0;
     let mut first_build_of_shard_1 = true;
-    let engine = ShardedEngine::start_supervised(
+    let engine = ShardedEngine::start(
         &EngineConfig {
             workers: 2,
             batch: 8,
@@ -120,11 +120,11 @@ fn run_intensity(
             }
             Box::new(exec)
         },
-        SupervisorPolicy {
+        Some(SupervisorPolicy {
             max_restarts: 3,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(10),
-        },
+        }),
     );
     let handle = HubGateway::start(
         "127.0.0.1:0",

@@ -24,7 +24,7 @@ use std::io::Write as _;
 
 fn main() {
     // The MLP build keeps the sweep quick; the engine treats the firmware
-    // as an opaque cloned interpreter, so the scaling shape is model-free.
+    // as an opaque per-shard executor, so the scaling shape is model-free.
     let bundle = mlp_bundle();
     let calib = bundle.calibration_inputs(50);
     let profile = profile_model(&bundle.model, &calib);
@@ -64,10 +64,11 @@ fn main() {
                     batch,
                     ..EngineConfig::default()
                 };
+                let (fw, hps) = (firmware.clone(), hps.clone());
                 let (_, report) = ShardedEngine::run_stream(
                     &cfg,
                     &std,
-                    |_| Box::new(NativeExecutor::compiled(&firmware, &hps)),
+                    move |_| Box::new(NativeExecutor::compiled(&fw, &hps)),
                     frames,
                 );
                 let t = report.throughput();

@@ -13,11 +13,15 @@
 //!   wall-clock staleness deadline drops frames that waited too long —
 //!   a 3 ms control loop has no use for late answers);
 //! * workers drain their queue into batches of up to `batch` frames and
-//!   run [`Firmware::infer_batch`], merging [`InferenceStats`] per shard;
-//! * each shard owns its executor: [`NativeExecutor`] (a cloned firmware
-//!   interpreter — the fast path) or [`SocExecutor`] (an [`IpArray`] of M
-//!   replicated control IPs behind the simulated bridge, watched by the
-//!   PR 1 [`Watchdog`] so a wedged IP degrades only its shard);
+//!   run them through the shard's executor, merging [`InferenceStats`]
+//!   per shard;
+//! * each shard owns its executor: [`NativeExecutor`] (the firmware
+//!   lowered into compiled integer kernels — the fast path) or
+//!   [`SocExecutor`] (an [`IpArray`] of M replicated control IPs behind
+//!   the simulated bridge, watched by a [`Watchdog`] so a wedged IP
+//!   degrades only its shard);
+//! * a supervised engine restarts a fully wedged shard's executor inside
+//!   the shard's own worker thread and re-serves its in-flight frames;
 //! * [`FleetReport`] merges per-shard stats, health, and simulated busy
 //!   time so Fig. 5c / Table I numbers stay derivable per shard and
 //!   fleet-wide (see [`crate::throughput::FleetThroughput`]).
@@ -194,43 +198,32 @@ pub trait ShardExecutor: Send {
     }
 
     /// The compiled engine's kernel selection summary, when this executor
-    /// runs one — `None` for interpreter and simulated-SoC backends.
+    /// runs one — `None` for the simulated-SoC backend.
     fn kernel_mix(&self) -> Option<KernelMix> {
         None
     }
 }
 
-/// The native executor's inference backend: the reference interpreter, or
-/// the lowered integer-quanta engine with its per-shard scratch arena.
-#[derive(Debug, Clone)]
-enum NativeBackend {
-    Interpreter(Firmware),
-    Compiled {
-        engine: Box<CompiledFirmware>,
-        scratch: Scratch,
-    },
-}
-
-/// Fast path: one inference engine per shard. Host execution is as fast as
-/// the machine allows; simulated timing uses the deterministic expected
-/// HPS overhead plus the hls4ml compute-cycle estimate (one IP pipeline
-/// per shard, frames back to back).
-///
-/// Two bit-identical backends exist: [`NativeExecutor::new`] interprets
-/// the firmware directly (the reference path), while
-/// [`NativeExecutor::compiled`] lowers it once into integer-quanta kernels
-/// and runs frames allocation-free through a reused scratch arena — the
-/// production hot path [`ShardedEngine::native`] uses.
+/// Fast path: one lowered integer-quanta engine ([`CompiledFirmware`]) per
+/// shard, running frames allocation-free through a reused scratch arena.
+/// Outputs and statistics are bit-identical to [`Firmware::infer`], which
+/// stays the reference oracle. Host execution is as fast as the machine
+/// allows; simulated timing uses the deterministic expected HPS overhead
+/// plus the hls4ml compute-cycle estimate (one IP pipeline per shard,
+/// frames back to back).
 #[derive(Debug, Clone)]
 pub struct NativeExecutor {
-    backend: NativeBackend,
+    engine: Box<CompiledFirmware>,
+    scratch: Scratch,
     n_in: usize,
     frame_overhead: SimDuration,
     compute: SimDuration,
 }
 
 impl NativeExecutor {
-    fn timing(firmware: &Firmware, hps: &HpsModel) -> (usize, SimDuration, SimDuration) {
+    /// Lowers `firmware` once into the shard's compiled engine.
+    #[must_use]
+    pub fn compiled(firmware: &Firmware, hps: &HpsModel) -> Self {
         let words = |width: u32| (width as usize).div_ceil(16);
         let in_fmt = firmware.input_quant.format();
         let out_fmt = firmware
@@ -241,36 +234,14 @@ impl NativeExecutor {
         let n_in = firmware.input_len * firmware.input_channels;
         let io_in = n_in * words(in_fmt.width);
         let io_out = firmware.output_len() * words(out_fmt.width);
-        let frame_overhead = hps.expected_overhead(io_in, io_out);
-        let compute = SimDuration::from_cycles(estimate_latency(firmware).total_cycles);
-        (n_in, frame_overhead, compute)
-    }
-
-    /// Builds an interpreter-backed executor for one shard.
-    #[must_use]
-    pub fn new(firmware: Firmware, hps: &HpsModel) -> Self {
-        let (n_in, frame_overhead, compute) = Self::timing(&firmware, hps);
-        Self {
-            backend: NativeBackend::Interpreter(firmware),
-            n_in,
-            frame_overhead,
-            compute,
-        }
-    }
-
-    /// Builds an executor backed by the lowered integer-quanta engine —
-    /// bit-identical outputs and statistics, several times faster, zero
-    /// steady-state allocations per frame.
-    #[must_use]
-    pub fn compiled(firmware: &Firmware, hps: &HpsModel) -> Self {
-        let (n_in, frame_overhead, compute) = Self::timing(firmware, hps);
         let engine = Box::new(CompiledFirmware::lower(firmware));
         let scratch = engine.scratch();
         Self {
-            backend: NativeBackend::Compiled { engine, scratch },
+            engine,
+            scratch,
             n_in,
-            frame_overhead,
-            compute,
+            frame_overhead: hps.expected_overhead(io_in, io_out),
+            compute: SimDuration::from_cycles(estimate_latency(firmware).total_cycles),
         }
     }
 }
@@ -281,34 +252,29 @@ impl ShardExecutor for NativeExecutor {
     }
 
     fn run_batch(&mut self, inputs: &[Vec<f64>]) -> BatchOutcome {
-        let (outputs, stats) = match &mut self.backend {
-            NativeBackend::Interpreter(fw) => fw.infer_batch(inputs),
-            NativeBackend::Compiled { engine, scratch } => {
-                // Batch-major path: frames travel through the kernels in
-                // 8-lane groups, so one weight load feeds every lane.
-                let ol = engine.output_len();
-                let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-                let mut flat = vec![0.0; inputs.len() * ol];
-                let stats = engine.infer_batch_into(&refs, scratch, &mut flat).clone();
-                let outs = flat.chunks_exact(ol.max(1)).map(<[f64]>::to_vec).collect();
-                (outs, stats)
-            }
-        };
+        // Batch-major path: frames travel through the kernels in 8-lane
+        // groups, so one weight load feeds every lane.
+        let ol = self.engine.output_len();
+        let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let mut flat = vec![0.0; inputs.len() * ol];
+        let stats = self
+            .engine
+            .infer_batch_into(&refs, &mut self.scratch, &mut flat)
+            .clone();
         let per_frame = FrameTiming {
-            write: SimDuration::ZERO,
-            control: SimDuration::ZERO,
             compute: self.compute,
-            irq: SimDuration::ZERO,
-            read: SimDuration::ZERO,
             misc: self.frame_overhead,
-            preempted: false,
             total: self.frame_overhead + self.compute,
+            ..FrameTiming::default()
         };
         let timings = vec![per_frame; inputs.len()];
         let assigned = vec![0; inputs.len()];
         let busy = batch_makespan(&timings, &assigned, 1);
         BatchOutcome {
-            outputs: outputs.into_iter().map(Some).collect(),
+            outputs: flat
+                .chunks_exact(ol.max(1))
+                .map(|out| Some(out.to_vec()))
+                .collect(),
             timings,
             stats,
             busy,
@@ -316,10 +282,7 @@ impl ShardExecutor for NativeExecutor {
     }
 
     fn kernel_mix(&self) -> Option<KernelMix> {
-        match &self.backend {
-            NativeBackend::Compiled { engine, .. } => Some(engine.kernel_mix()),
-            NativeBackend::Interpreter(_) => None,
-        }
+        Some(self.engine.kernel_mix())
     }
 }
 
@@ -377,16 +340,7 @@ impl ShardExecutor for SocExecutor {
                     // Whole shard wedged: the frame is lost; no time moves
                     // because nothing could even be triggered.
                     outputs.push(None);
-                    timings.push(FrameTiming {
-                        write: SimDuration::ZERO,
-                        control: SimDuration::ZERO,
-                        compute: SimDuration::ZERO,
-                        irq: SimDuration::ZERO,
-                        read: SimDuration::ZERO,
-                        misc: SimDuration::ZERO,
-                        preempted: false,
-                        total: SimDuration::ZERO,
-                    });
+                    timings.push(FrameTiming::default());
                     assigned.push(0);
                     break;
                 };
@@ -440,19 +394,9 @@ impl ShardExecutor for WedgedSink {
     }
 
     fn run_batch(&mut self, inputs: &[Vec<f64>]) -> BatchOutcome {
-        let zero = FrameTiming {
-            write: SimDuration::ZERO,
-            control: SimDuration::ZERO,
-            compute: SimDuration::ZERO,
-            irq: SimDuration::ZERO,
-            read: SimDuration::ZERO,
-            misc: SimDuration::ZERO,
-            preempted: false,
-            total: SimDuration::ZERO,
-        };
         BatchOutcome {
             outputs: vec![None; inputs.len()],
-            timings: vec![zero; inputs.len()],
+            timings: vec![FrameTiming::default(); inputs.len()],
             stats: InferenceStats::default(),
             busy: SimDuration::ZERO,
         }
@@ -522,7 +466,7 @@ pub struct ShardReport {
     /// Shard resilience counters at shutdown.
     pub counters: HealthCounters,
     /// Kernel selection summary of the shard's compiled engine (`None`
-    /// for interpreter and simulated-SoC backends).
+    /// for the simulated-SoC backend).
     pub kernel_mix: Option<KernelMix>,
     /// Per-tenant attribution of the shard's work, ascending tenant id
     /// (a single entry for tenant 0 on the legacy constructors).
@@ -745,9 +689,18 @@ struct EngineHub {
 
 type StatsHub = Arc<EngineHub>;
 
-/// Everything a shard worker needs besides its queue and executor —
-/// cloned per incarnation so the supervisor can respawn a worker without
-/// re-threading half a dozen arguments.
+/// The executor factory of a supervised engine, shared by its workers.
+type ExecutorFactory = Arc<Mutex<Box<dyn FnMut(usize) -> Box<dyn ShardExecutor> + Send>>>;
+
+/// What a supervised shard restarts from: the executor factory and the
+/// restart budget.
+#[derive(Clone)]
+struct Supervision {
+    factory: ExecutorFactory,
+    policy: SupervisorPolicy,
+}
+
+/// Everything a shard worker needs besides its queue and tenant table.
 #[derive(Clone)]
 struct WorkerCtx {
     standardizer: Standardizer,
@@ -758,11 +711,12 @@ struct WorkerCtx {
     results_tx: channel::Sender<FrameResult>,
     reports_tx: channel::Sender<ShardReport>,
     hub: StatsHub,
+    /// `Some` on a supervised engine: wedged executors restart in place.
+    supervision: Option<Supervision>,
 }
 
-/// Accounting that survives a shard restart: the wedged incarnation hands
-/// this to the supervisor, the replacement continues from it, and only the
-/// final incarnation emits the (single, merged) [`ShardReport`].
+/// A shard's running accounting. It survives in-place executor restarts
+/// and becomes the shard's single [`ShardReport`] at shutdown.
 struct ShardState {
     shard: usize,
     processed: u64,
@@ -780,8 +734,7 @@ struct ShardState {
     carried: HealthCounters,
     restarts: u64,
     denied: bool,
-    /// Raw-reading drift monitor (survives restarts; `None` when
-    /// `drift_window == 0`, lazily created by the worker otherwise).
+    /// Raw-reading drift monitor (`None` when `drift_window == 0`).
     drift: Option<DriftMonitor>,
     drift_summary: DriftSummary,
     /// Adaptation-plane frame tap, installed by [`Ctrl::Tap`].
@@ -789,7 +742,7 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn new(shard: usize) -> Self {
+    fn new(shard: usize, ctx: &WorkerCtx) -> Self {
         Self {
             shard,
             processed: 0,
@@ -805,108 +758,46 @@ impl ShardState {
             carried: HealthCounters::default(),
             restarts: 0,
             denied: false,
-            drift: None,
+            drift: (ctx.drift_window > 0)
+                .then(|| DriftMonitor::new(&ctx.standardizer, ctx.drift_window)),
             drift_summary: DriftSummary::default(),
             tap: None,
         }
     }
 }
 
-/// A wedged worker's hand-off to the supervisor: the queue receiver, the
-/// frames that were in flight when every replica wedged, and the running
-/// accounting.
-struct WedgeReport {
-    rx: channel::Receiver<Work>,
+/// Restarts a wedged slot in place. The dead executor's counters carry
+/// over; after the backoff the slot runs a fresh executor from the
+/// factory, or, past the budget, a [`WedgedSink`] that drains the queue as
+/// counted losses. The frames the dead executor returned `None` for go
+/// back to the front of the slot's queue in arrival order, so per-chain
+/// order survives the restart.
+fn restart_slot(
+    sup: &Supervision,
+    slot: &mut TenantSlot,
+    state: &mut ShardState,
     requeue: Vec<Job>,
-    state: ShardState,
-}
-
-enum SupMsg {
-    Wedge(Box<WedgeReport>),
-    Done,
-}
-
-fn spawn_worker(
-    ctx: WorkerCtx,
-    rx: channel::Receiver<Work>,
-    table: Vec<TenantSlot>,
-    state: ShardState,
-    initial: Vec<Job>,
-    sup_tx: Option<channel::Sender<SupMsg>>,
-) -> thread::JoinHandle<()> {
-    let name = format!("reads-shard-{}r{}", state.shard, state.restarts);
-    thread::Builder::new()
-        .name(name)
-        .spawn(move || shard_worker(ctx, rx, table, state, initial, sup_tx))
-        .expect("spawn shard worker")
-}
-
-/// Restart loop for supervised shards. Exits once every shard has sent
-/// its final `Done`; a replacement worker spawned here is joined before
-/// the loop returns so [`ShardedEngine::finish`] sees a quiet fleet.
-fn supervisor_loop(
-    mut factory: Box<dyn FnMut(usize) -> Box<dyn ShardExecutor> + Send>,
-    policy: SupervisorPolicy,
-    ctx: WorkerCtx,
-    sup_tx: channel::Sender<SupMsg>,
-    sup_rx: channel::Receiver<SupMsg>,
-    workers: usize,
 ) {
-    let mut live = workers;
-    let mut respawned: Vec<thread::JoinHandle<()>> = Vec::new();
-    while live > 0 {
-        match sup_rx.recv() {
-            Ok(SupMsg::Done) => live -= 1,
-            Ok(SupMsg::Wedge(report)) => {
-                let WedgeReport {
-                    rx,
-                    requeue,
-                    mut state,
-                } = *report;
-                let shard = state.shard;
-                if state.restarts < u64::from(policy.max_restarts) {
-                    // Backoff before the respawn: a shard wedged by a
-                    // persistent upstream fault would otherwise burn its
-                    // whole budget in microseconds.
-                    #[allow(clippy::cast_possible_truncation)]
-                    thread::sleep(policy.backoff_for(state.restarts as u32));
-                    state.restarts += 1;
-                    let table = TenantSlot::single(factory(shard));
-                    respawned.push(spawn_worker(
-                        ctx.clone(),
-                        rx,
-                        table,
-                        state,
-                        requeue,
-                        Some(sup_tx.clone()),
-                    ));
-                } else {
-                    // Budget exhausted: the shard trips. A sink executor
-                    // keeps draining the queue so a `Block`-policy
-                    // submitter never deadlocks on a dead shard; every
-                    // drained frame counts as lost.
-                    state.denied = true;
-                    respawned.push(spawn_worker(
-                        ctx.clone(),
-                        rx,
-                        TenantSlot::single(Box::new(WedgedSink)),
-                        state,
-                        requeue,
-                        Some(sup_tx.clone()),
-                    ));
-                }
-            }
-            Err(_) => break,
-        }
+    let (_, counters) = slot.executor.health();
+    state.carried.merge(&counters);
+    if state.restarts < u64::from(sup.policy.max_restarts) {
+        // Backoff first: a shard wedged by a persistent upstream fault
+        // would otherwise burn its whole budget in microseconds.
+        #[allow(clippy::cast_possible_truncation)]
+        thread::sleep(sup.policy.backoff_for(state.restarts as u32));
+        state.restarts += 1;
+        slot.executor = (sup.factory.lock().expect("executor factory lock"))(state.shard);
+    } else {
+        state.denied = true;
+        slot.executor = Box::new(WedgedSink);
     }
-    drop(sup_tx);
-    for h in respawned {
-        let _ = h.join();
+    for job in requeue.into_iter().rev() {
+        slot.queue.push_front(job);
     }
 }
 
-/// The engine: spawn with [`ShardedEngine::start`] (or the `native` /
-/// `simulated` convenience constructors), feed [`ChainFrame`]s through
+/// The engine: spawn with [`ShardedEngine::start`] (or the
+/// [`ShardedEngine::native`] shorthand), feed [`ChainFrame`]s through
 /// [`ShardedEngine::submit`], then [`ShardedEngine::finish`] to drain and
 /// collect every result plus the fleet report.
 pub struct ShardedEngine {
@@ -918,7 +809,6 @@ pub struct ShardedEngine {
     results_rx: channel::Receiver<FrameResult>,
     reports_rx: channel::Receiver<ShardReport>,
     handles: Vec<thread::JoinHandle<()>>,
-    supervisor: Option<thread::JoinHandle<()>>,
     submitted: u64,
     dropped_backpressure: u64,
     drop_policy: DropPolicy,
@@ -1097,11 +987,13 @@ impl EngineController {
 }
 
 impl ShardedEngine {
-    fn start_with_tables(
+    /// The one launch path: spawns one worker per tenant table.
+    fn launch(
         cfg: &EngineConfig,
         standardizer: &Standardizer,
         tables: Vec<Vec<TenantSlot>>,
         placement: BTreeMap<TenantId, Vec<usize>>,
+        supervision: Option<Supervision>,
     ) -> Self {
         assert!(cfg.batch > 0, "batch size must be positive");
         assert!(cfg.queue_depth > 0, "queue depth must be positive");
@@ -1134,20 +1026,20 @@ impl ShardedEngine {
             results_tx,
             reports_tx,
             hub: Arc::clone(&hub),
+            supervision,
         };
         let mut senders = Vec::with_capacity(tables.len());
         let mut handles = Vec::with_capacity(tables.len());
         for (shard, table) in tables.into_iter().enumerate() {
             let (tx, rx) = channel::bounded::<Work>(cfg.queue_depth);
             senders.push(tx);
-            handles.push(spawn_worker(
-                ctx.clone(),
-                rx,
-                table,
-                ShardState::new(shard),
-                Vec::new(),
-                None,
-            ));
+            let ctx = ctx.clone();
+            handles.push(
+                thread::Builder::new()
+                    .name(format!("reads-shard-{shard}"))
+                    .spawn(move || shard_worker(&ctx, &rx, table, shard))
+                    .expect("spawn shard worker"),
+            );
         }
         let ctrl_shared = Arc::new(Mutex::new(Some(senders.clone())));
         Self {
@@ -1159,7 +1051,6 @@ impl ShardedEngine {
             results_rx,
             reports_rx,
             handles,
-            supervisor: None,
             submitted: 0,
             dropped_backpressure: 0,
             drop_policy: cfg.drop_policy,
@@ -1167,14 +1058,17 @@ impl ShardedEngine {
         }
     }
 
-    fn default_placement(workers: usize) -> BTreeMap<TenantId, Vec<usize>> {
-        let mut placement = BTreeMap::new();
-        placement.insert(DEFAULT_TENANT, (0..workers).collect());
-        placement
-    }
-
     /// Starts the engine with one executor per shard from `make_executor`
-    /// (called with the shard index).
+    /// (called with the shard index, in shard order, on this thread).
+    ///
+    /// With a `supervisor` policy, a shard whose executor reports
+    /// [`ShardExecutor::wedged`] restarts inside its own worker: after the
+    /// policy's backoff it gets a fresh executor from `make_executor` (same
+    /// digest-pinned firmware, so replays stay bit-identical) and re-serves
+    /// the frames that were in flight. A shard past its restart budget
+    /// trips ([`HealthState::Tripped`]) but keeps draining its queue as
+    /// counted losses, so `Block`-policy submitters never deadlock. Without
+    /// a policy, a wedged shard drains its queue as counted losses.
     ///
     /// # Panics
     /// Panics when `workers`, `batch`, or `queue_depth` is zero.
@@ -1182,18 +1076,19 @@ impl ShardedEngine {
     pub fn start(
         cfg: &EngineConfig,
         standardizer: &Standardizer,
-        mut make_executor: impl FnMut(usize) -> Box<dyn ShardExecutor>,
+        mut make_executor: impl FnMut(usize) -> Box<dyn ShardExecutor> + Send + 'static,
+        supervisor: Option<SupervisorPolicy>,
     ) -> Self {
         assert!(cfg.workers > 0, "engine needs at least one worker");
         let tables = (0..cfg.workers)
             .map(|shard| TenantSlot::single(make_executor(shard)))
             .collect();
-        Self::start_with_tables(
-            cfg,
-            standardizer,
-            tables,
-            Self::default_placement(cfg.workers),
-        )
+        let supervision = supervisor.map(|policy| Supervision {
+            factory: Arc::new(Mutex::new(Box::new(make_executor))),
+            policy,
+        });
+        let placement = BTreeMap::from([(DEFAULT_TENANT, (0..cfg.workers).collect())]);
+        Self::launch(cfg, standardizer, tables, placement, supervision)
     }
 
     /// Starts a **multi-tenant** engine over a registry and a placement
@@ -1247,7 +1142,7 @@ impl ShardedEngine {
             .iter()
             .map(|(t, s)| (*t, s.clone()))
             .collect();
-        let mut engine = Self::start_with_tables(cfg, standardizer, tables, placement);
+        let mut engine = Self::launch(cfg, standardizer, tables, placement, None);
         engine.tenant_names = registry
             .tenants()
             .map(|rec| (rec.id, rec.name.clone()))
@@ -1255,94 +1150,8 @@ impl ShardedEngine {
         Ok(engine)
     }
 
-    /// Starts a **supervised** engine: a dedicated supervisor thread
-    /// watches for shards whose every replica has wedged (all watchdog
-    /// rungs exhausted), restarts them with a fresh executor from
-    /// `make_executor` under the restart budget/backoff of `policy`, and
-    /// requeues the frames that were in flight so nothing is silently
-    /// lost. A shard that exhausts its budget trips
-    /// ([`HealthState::Tripped`]) but keeps draining its queue — counted
-    /// as losses — so `Block`-policy submitters never deadlock.
-    ///
-    /// The factory must be `Send + 'static` because it moves into the
-    /// supervisor thread to build replacement executors (same
-    /// digest-pinned firmware → replays stay bit-identical).
-    ///
-    /// # Panics
-    /// Panics when `workers`, `batch`, or `queue_depth` is zero.
-    #[must_use]
-    pub fn start_supervised(
-        cfg: &EngineConfig,
-        standardizer: &Standardizer,
-        mut make_executor: impl FnMut(usize) -> Box<dyn ShardExecutor> + Send + 'static,
-        policy: SupervisorPolicy,
-    ) -> Self {
-        assert!(cfg.workers > 0, "engine needs at least one worker");
-        assert!(cfg.batch > 0, "batch size must be positive");
-        assert!(cfg.queue_depth > 0, "queue depth must be positive");
-        let (results_tx, results_rx) = channel::unbounded::<FrameResult>();
-        let (reports_tx, reports_rx) = channel::unbounded::<ShardReport>();
-        let (sup_tx, sup_rx) = channel::unbounded::<SupMsg>();
-        let hub: StatsHub = Arc::new(EngineHub::default());
-        let ctx = WorkerCtx {
-            standardizer: standardizer.clone(),
-            batch_cap: cfg.batch,
-            deadline: cfg.deadline,
-            drift_window: cfg.drift_window,
-            drift_campaign: cfg.drift_campaign,
-            results_tx,
-            reports_tx,
-            hub: Arc::clone(&hub),
-        };
-        let mut senders = Vec::with_capacity(cfg.workers);
-        let mut handles = Vec::with_capacity(cfg.workers);
-        for shard in 0..cfg.workers {
-            let (tx, rx) = channel::bounded::<Work>(cfg.queue_depth);
-            senders.push(tx);
-            handles.push(spawn_worker(
-                ctx.clone(),
-                rx,
-                TenantSlot::single(make_executor(shard)),
-                ShardState::new(shard),
-                Vec::new(),
-                Some(sup_tx.clone()),
-            ));
-        }
-        let workers = cfg.workers;
-        let supervisor = thread::Builder::new()
-            .name("reads-supervisor".into())
-            .spawn(move || {
-                supervisor_loop(
-                    Box::new(make_executor),
-                    policy,
-                    ctx,
-                    sup_tx,
-                    sup_rx,
-                    workers,
-                );
-            })
-            .expect("spawn shard supervisor");
-        let ctrl_shared = Arc::new(Mutex::new(Some(senders.clone())));
-        Self {
-            senders,
-            ctrl_shared,
-            hub,
-            placement: Arc::new(Self::default_placement(workers)),
-            tenant_names: BTreeMap::new(),
-            results_rx,
-            reports_rx,
-            handles,
-            supervisor: Some(supervisor),
-            submitted: 0,
-            dropped_backpressure: 0,
-            drop_policy: cfg.drop_policy,
-            started: Instant::now(),
-        }
-    }
-
-    /// Native fast-path engine: every shard runs the lowered
-    /// integer-quanta engine ([`NativeExecutor::compiled`]) — bit-identical
-    /// to the interpreter, several times faster.
+    /// Native fast-path engine, unsupervised: the firmware is lowered
+    /// once and every shard runs its own copy of the [`NativeExecutor`].
     #[must_use]
     pub fn native(
         cfg: &EngineConfig,
@@ -1350,9 +1159,8 @@ impl ShardedEngine {
         hps: &HpsModel,
         standardizer: &Standardizer,
     ) -> Self {
-        Self::start(cfg, standardizer, |_| {
-            Box::new(NativeExecutor::compiled(firmware, hps))
-        })
+        let executor = NativeExecutor::compiled(firmware, hps);
+        Self::start(cfg, standardizer, move |_| Box::new(executor.clone()), None)
     }
 
     /// Factory of independent native engines, one per caller-chosen index
@@ -1373,75 +1181,18 @@ impl ShardedEngine {
         move |_gateway| ShardedEngine::native(&cfg, &firmware, &hps, &standardizer)
     }
 
-    /// Simulated-SoC engine: every shard drives an [`IpArray`] of
-    /// `ips_per_shard` replicated control IPs behind its own watchdog.
-    #[must_use]
-    pub fn simulated(
-        cfg: &EngineConfig,
-        firmware: &Firmware,
-        hps: &HpsModel,
-        standardizer: &Standardizer,
-        ips_per_shard: usize,
-        policy: WatchdogPolicy,
-        seed: u64,
-    ) -> Self {
-        Self::start(cfg, standardizer, |shard| {
-            Box::new(SocExecutor::new(
-                firmware.clone(),
-                hps,
-                ips_per_shard,
-                policy,
-                seed ^ (shard as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-            ))
-        })
-    }
-
-    /// Supervised simulated-SoC engine: [`ShardedEngine::simulated`] plus
-    /// a [`supervisor`](ShardedEngine::start_supervised) that rebuilds a
-    /// fully wedged shard's [`IpArray`] from the same digest-pinned
-    /// firmware.
-    #[allow(clippy::too_many_arguments)]
-    #[must_use]
-    pub fn simulated_supervised(
-        cfg: &EngineConfig,
-        firmware: &Firmware,
-        hps: &HpsModel,
-        standardizer: &Standardizer,
-        ips_per_shard: usize,
-        wd_policy: WatchdogPolicy,
-        seed: u64,
-        sup_policy: SupervisorPolicy,
-    ) -> Self {
-        let firmware = firmware.clone();
-        let hps = hps.clone();
-        Self::start_supervised(
-            cfg,
-            standardizer,
-            move |shard| {
-                Box::new(SocExecutor::new(
-                    firmware.clone(),
-                    &hps,
-                    ips_per_shard,
-                    wd_policy,
-                    seed ^ (shard as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-                ))
-            },
-            sup_policy,
-        )
-    }
-
     /// Number of shards.
     #[must_use]
     pub fn shards(&self) -> usize {
         self.senders.len()
     }
 
-    /// Submits one chain frame for the default tenant; the shard is
-    /// `chain % workers`. Returns `false` when the frame was shed (full
-    /// queue under [`DropPolicy::DropNewest`], or a dead shard).
+    /// Submits one chain frame for the default tenant (see
+    /// [`ShardedEngine::submit_for`]). Returns `false` when the frame was
+    /// shed (full queue under [`DropPolicy::DropNewest`], a dead shard, or
+    /// an engine that does not serve the default tenant).
     pub fn submit(&mut self, frame: ChainFrame) -> bool {
-        let shard = frame.chain as usize % self.senders.len();
-        self.submit_to(shard, DEFAULT_TENANT, frame)
+        self.submit_for(DEFAULT_TENANT, frame).unwrap_or(false)
     }
 
     /// Submits one chain frame for `tenant`, routed `chain % |shards of
@@ -1461,10 +1212,6 @@ impl ShardedEngine {
             .get(&tenant)
             .ok_or(RegistryError::UnknownTenant(tenant))?;
         let shard = set[frame.chain as usize % set.len()];
-        Ok(self.submit_to(shard, tenant, frame))
-    }
-
-    fn submit_to(&mut self, shard: usize, tenant: TenantId, frame: ChainFrame) -> bool {
         let job = Work::Frame(Job {
             tenant,
             chain: frame.chain,
@@ -1484,7 +1231,7 @@ impl ShardedEngine {
         } else {
             self.dropped_backpressure += 1;
         }
-        accepted
+        Ok(accepted)
     }
 
     /// Whether `tenant` is served by this engine's placement.
@@ -1520,12 +1267,7 @@ impl ShardedEngine {
     /// boundaries (see [`EngineController::drift`]).
     #[must_use]
     pub fn drift(&self) -> DriftSummary {
-        let drift = self.hub.drift.lock().expect("drift hub lock");
-        let mut merged = DriftSummary::default();
-        for summary in drift.values() {
-            merged.merge(summary);
-        }
-        merged
+        self.controller().drift()
     }
 
     /// A cloneable control-plane handle for hot-swap drivers and consoles.
@@ -1556,7 +1298,6 @@ impl ShardedEngine {
             results_rx,
             reports_rx,
             handles,
-            supervisor,
             submitted,
             dropped_backpressure,
             started,
@@ -1568,11 +1309,6 @@ impl ShardedEngine {
         drop(senders); // workers see disconnect and flush
         for h in handles {
             h.join().expect("shard worker panicked");
-        }
-        // The supervisor joins any replacement workers it spawned, so
-        // after this every incarnation has flushed its report.
-        if let Some(s) = supervisor {
-            s.join().expect("shard supervisor panicked");
         }
         let mut results: Vec<FrameResult> = results_rx.iter().collect();
         let mut shards: Vec<ShardReport> = reports_rx.iter().collect();
@@ -1595,10 +1331,10 @@ impl ShardedEngine {
     pub fn run_stream(
         cfg: &EngineConfig,
         standardizer: &Standardizer,
-        make_executor: impl FnMut(usize) -> Box<dyn ShardExecutor>,
+        make_executor: impl FnMut(usize) -> Box<dyn ShardExecutor> + Send + 'static,
         frames: Vec<ChainFrame>,
     ) -> (Vec<FrameResult>, FleetReport) {
-        let mut engine = Self::start(cfg, standardizer, make_executor);
+        let mut engine = Self::start(cfg, standardizer, make_executor, None);
         for f in frames {
             engine.submit(f);
         }
@@ -1731,15 +1467,13 @@ fn drr_pick(table: &mut [TenantSlot]) -> Option<usize> {
 
 /// Runs one tenant's batch through its live executor (and its shadow, if
 /// staged), emitting verdicts and attributing all accounting to the
-/// tenant. Returns `Some(requeue)` when a supervised executor wedged —
-/// the frames to hand to the supervisor.
+/// tenant. A supervised executor that wedged is restarted in place.
 fn run_tenant_batch(
     ctx: &WorkerCtx,
     slot: &mut TenantSlot,
     state: &mut ShardState,
     jobs: Vec<Job>,
-    supervised: bool,
-) -> Option<Vec<Job>> {
+) {
     // Staleness + assembly happen at the shard so the submitter never
     // pays for them.
     let mut kept: Vec<Job> = Vec::with_capacity(jobs.len());
@@ -1781,7 +1515,7 @@ fn run_tenant_batch(
         }
     }
     if inputs.is_empty() {
-        return None;
+        return;
     }
 
     let outcome = slot.executor.run_batch(&inputs);
@@ -1811,9 +1545,9 @@ fn run_tenant_batch(
     }
 
     // Supervised and every replica wedged: frames the dead executor
-    // returned `None` for go back to the supervisor instead of being
-    // counted lost.
-    let wedge = supervised && slot.executor.wedged();
+    // returned `None` for are re-served after the restart instead of
+    // being counted lost.
+    let wedge = ctx.supervision.as_ref().filter(|_| slot.executor.wedged());
     let mut requeue: Vec<Job> = Vec::new();
     for ((job, out), timing) in kept.into_iter().zip(outcome.outputs).zip(&outcome.timings) {
         match out {
@@ -1840,7 +1574,7 @@ fn run_tenant_batch(
                     timing: *timing,
                 });
             }
-            None if wedge => requeue.push(job),
+            None if wedge.is_some() => requeue.push(job),
             None => {
                 state.lost += 1;
                 state.tenants.entry(slot.id).or_default().lost += 1;
@@ -1848,89 +1582,26 @@ fn run_tenant_batch(
         }
     }
     publish_slot(ctx, state.shard, slot, state.tenants.get(&slot.id));
-    if wedge {
-        let (_, counters) = slot.executor.health();
-        state.carried.merge(&counters);
-        Some(requeue)
-    } else {
-        None
+    if let Some(sup) = wedge {
+        restart_slot(sup, slot, state, requeue);
     }
 }
 
 fn shard_worker(
-    ctx: WorkerCtx,
-    rx: channel::Receiver<Work>,
+    ctx: &WorkerCtx,
+    rx: &channel::Receiver<Work>,
     mut table: Vec<TenantSlot>,
-    mut state: ShardState,
-    mut initial: Vec<Job>,
-    sup_tx: Option<channel::Sender<SupMsg>>,
+    shard: usize,
 ) {
-    let supervised = sup_tx.is_some();
-    let shard = state.shard;
+    let mut state = ShardState::new(shard, ctx);
     for slot in &table {
-        publish_slot(&ctx, shard, slot, state.tenants.get(&slot.id));
+        publish_slot(ctx, shard, slot, state.tenants.get(&slot.id));
     }
-    // The drift monitor survives restarts inside `state`; only the first
-    // incarnation creates it (and only when drift detection is on).
-    if state.drift.is_none() && ctx.drift_window > 0 {
-        state.drift = Some(DriftMonitor::new(&ctx.standardizer, ctx.drift_window));
-    }
-
-    // Frames requeued from a pre-restart incarnation run first, and the
-    // queue is not touched until they drain — per-chain sequence order
-    // survives the restart.
-    while !initial.is_empty() {
-        let take = initial.len().min(ctx.batch_cap);
-        let jobs: Vec<Job> = initial.drain(..take).collect();
-        // Requeued batches are tenant-homogeneous in practice (supervised
-        // engines are single-tenant); split defensively anyway, keeping
-        // arrival order within each run.
-        let mut run: Vec<Job> = Vec::with_capacity(jobs.len());
-        let mut slot_idx: Option<usize> = None;
-        for job in jobs {
-            let idx = table.iter().position(|s| s.id == job.tenant);
-            let Some(idx) = idx else {
-                state.lost += 1;
-                continue;
-            };
-            if slot_idx.is_some_and(|cur| cur != idx) {
-                let batch: Vec<Job> = std::mem::take(&mut run);
-                let cur = slot_idx.expect("set with run");
-                if let Some(mut requeue) =
-                    run_tenant_batch(&ctx, &mut table[cur], &mut state, batch, supervised)
-                {
-                    requeue.append(&mut initial);
-                    if let Some(tx) = &sup_tx {
-                        let _ =
-                            tx.send(SupMsg::Wedge(Box::new(WedgeReport { rx, requeue, state })));
-                    }
-                    return;
-                }
-            }
-            slot_idx = Some(idx);
-            run.push(job);
-        }
-        if let Some(cur) = slot_idx {
-            if !run.is_empty() {
-                if let Some(mut requeue) =
-                    run_tenant_batch(&ctx, &mut table[cur], &mut state, run, supervised)
-                {
-                    requeue.append(&mut initial);
-                    if let Some(tx) = &sup_tx {
-                        let _ =
-                            tx.send(SupMsg::Wedge(Box::new(WedgeReport { rx, requeue, state })));
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
     loop {
         let queued: usize = table.iter().map(|s| s.queue.len()).sum();
         if queued == 0 {
             match rx.recv() {
-                Ok(w) => absorb(&ctx, &mut table, &mut state, w),
+                Ok(w) => absorb(ctx, &mut table, &mut state, w),
                 Err(_) => break,
             }
         }
@@ -1939,7 +1610,7 @@ fn shard_worker(
         // degenerate to batch-of-one with no added latency.
         while table.iter().map(|s| s.queue.len()).sum::<usize>() < ctx.batch_cap {
             match rx.try_recv() {
-                Ok(w) => absorb(&ctx, &mut table, &mut state, w),
+                Ok(w) => absorb(ctx, &mut table, &mut state, w),
                 Err(_) => break,
             }
         }
@@ -1948,21 +1619,7 @@ fn shard_worker(
         };
         let take = table[si].queue.len().min(ctx.batch_cap);
         let jobs: Vec<Job> = table[si].queue.drain(..take).collect();
-        if let Some(mut requeue) =
-            run_tenant_batch(&ctx, &mut table[si], &mut state, jobs, supervised)
-        {
-            // Hand every still-queued frame back too — the replacement
-            // incarnation replays them in order.
-            for slot in &mut table {
-                requeue.extend(slot.queue.drain(..));
-            }
-            if let Some(tx) = &sup_tx {
-                let _ = tx.send(SupMsg::Wedge(Box::new(WedgeReport { rx, requeue, state })));
-            }
-            // No final report and no `Done` — the replacement incarnation
-            // the supervisor spawns owns both.
-            return;
-        }
+        run_tenant_batch(ctx, &mut table[si], &mut state, jobs);
     }
 
     let mut exec_health = HealthState::Healthy;
@@ -2023,9 +1680,6 @@ fn shard_worker(
         tenants: tenant_reports,
         drift: state.drift_summary,
     });
-    if let Some(tx) = sup_tx {
-        let _ = tx.send(SupMsg::Done);
-    }
 }
 
 #[cfg(test)]
@@ -2049,6 +1703,12 @@ mod tests {
         }
     }
 
+    /// Executor factory: a compiled engine of `fw` on every shard.
+    fn native(fw: &Firmware) -> impl FnMut(usize) -> Box<dyn ShardExecutor> + Send + 'static {
+        let fw = fw.clone();
+        move |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default()))
+    }
+
     #[test]
     fn native_engine_processes_every_frame_in_order_per_chain() {
         let fw = mlp_firmware();
@@ -2057,12 +1717,8 @@ mod tests {
             workers: 3,
             ..EngineConfig::default()
         };
-        let (results, report) = ShardedEngine::run_stream(
-            &cfg,
-            &standardizer(),
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
-            frames,
-        );
+        let (results, report) =
+            ShardedEngine::run_stream(&cfg, &standardizer(), native(&fw), frames);
         assert_eq!(results.len(), 24, "3 chains × 8 ticks");
         assert_eq!(report.processed(), 24);
         assert_eq!(report.dropped_backpressure, 0);
@@ -2087,25 +1743,27 @@ mod tests {
         let fw = mlp_firmware();
         let std = standardizer();
         let frames = MultiChainSource::new(4, 6).ticks(5);
-        // Sequential reference.
+        // Sequential reference: the interpreter, one frame at a time.
+        let mut want_stats = InferenceStats::default();
         let mut expect: Vec<(u32, u32, Vec<f64>)> = frames
             .iter()
             .map(|cf| {
                 let readings = assemble_frame(&cf.packets).unwrap();
                 let n_in = fw.input_len * fw.input_channels;
-                let (out, _) = fw.infer(&std.apply_frame(&readings[..n_in]));
+                let (out, stats) = fw.infer(&std.apply_frame(&readings[..n_in]));
+                want_stats.merge(&stats);
                 (cf.chain, cf.sequence, out)
             })
             .collect();
         expect.sort_by_key(|(c, s, _)| (*c, *s));
-        let (results, _) = ShardedEngine::run_stream(
+        let (results, report) = ShardedEngine::run_stream(
             &EngineConfig {
                 workers: 4,
                 batch: 3,
                 ..EngineConfig::default()
             },
             &std,
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            native(&fw),
             frames,
         );
         assert_eq!(results.len(), expect.len());
@@ -2114,40 +1772,8 @@ mod tests {
             let direct = DeblendVerdict::from_split_halves(*seq, out);
             assert_eq!(r.verdict, direct, "chain {chain} seq {seq}");
         }
-    }
-
-    #[test]
-    fn compiled_executor_matches_interpreter_executor_bit_for_bit() {
-        let fw = mlp_firmware();
-        let std = standardizer();
-        let frames = MultiChainSource::new(3, 9).ticks(4);
-        let (interp, interp_report) = ShardedEngine::run_stream(
-            &EngineConfig {
-                workers: 3,
-                batch: 2,
-                ..EngineConfig::default()
-            },
-            &std,
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
-            frames.clone(),
-        );
-        let (compiled, compiled_report) = ShardedEngine::run_stream(
-            &EngineConfig {
-                workers: 3,
-                batch: 2,
-                ..EngineConfig::default()
-            },
-            &std,
-            |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
-            frames,
-        );
-        assert_eq!(interp.len(), compiled.len());
-        for (a, b) in interp.iter().zip(&compiled) {
-            assert_eq!((a.chain, a.sequence), (b.chain, b.sequence));
-            assert_eq!(a.verdict, b.verdict, "chain {} seq {}", a.chain, a.sequence);
-        }
         // Overflow accounting is part of the contract, not just outputs.
-        assert_eq!(interp_report.merged_stats(), compiled_report.merged_stats());
+        assert_eq!(report.merged_stats(), want_stats);
     }
 
     #[test]
@@ -2161,7 +1787,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             &standardizer(),
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            native(&fw),
             frames,
         );
         assert_eq!(results.len(), 2);
@@ -2179,7 +1805,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             &std,
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            native(&fw),
             frames.clone(),
         );
         let (soc, report) = ShardedEngine::run_stream(
@@ -2188,7 +1814,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             &std,
-            |shard| {
+            move |shard| {
                 Box::new(SocExecutor::new(
                     fw.clone(),
                     &HpsModel::default(),
@@ -2219,7 +1845,7 @@ mod tests {
                     ..EngineConfig::default()
                 },
                 &std,
-                |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+                native(&fw),
                 frames,
             );
             report.throughput()
@@ -2325,7 +1951,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             &standardizer(),
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            native(&fw),
             frames,
         );
         let s = &report.shards[0];
@@ -2347,7 +1973,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             &standardizer(),
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            native(&fw),
             frames,
         );
         assert!(results.is_empty());

@@ -20,9 +20,9 @@
 //! * [`resilience`] — the handshake watchdog, recovery ladder and health
 //!   tracking over the `reads-soc` fault-injection plane.
 //! * [`engine`] — the sharded multi-hub inference engine: N worker threads,
-//!   per-shard bounded queues with explicit backpressure, frame batching
-//!   through `Firmware::infer_batch`, and per-shard watchdog health over
-//!   either the native interpreter or replicated simulated control IPs.
+//!   per-shard bounded queues with explicit backpressure, frame batching,
+//!   in-place restart of wedged shards, and per-shard watchdog health over
+//!   either the compiled native engine or replicated simulated control IPs.
 //! * [`registry`] — the multi-tenant serving plane: digest-pinned firmware
 //!   variants with a typed lifecycle FSM, resource-aware placement over the
 //!   Arria 10 estimator, and zero-downtime shadow-scored hot-swap.

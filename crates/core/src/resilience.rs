@@ -326,14 +326,14 @@ impl Default for WatchdogPolicy {
     }
 }
 
-/// Restart budget for the shard supervisor (`engine::ShardedEngine`
-/// under `start_supervised`). The watchdog ladder recovers *within* an
-/// executor; the supervisor is the next rung up — when every replica of a
-/// shard's executor is wedged, it tears the executor down and respawns a
-/// fresh one from the digest-pinned build, requeueing the in-flight
-/// frames. Budgeted and backed off so a hard fault cannot turn into a
-/// restart storm: past `max_restarts` the shard trips and drains its
-/// queue as counted losses instead of respawning forever.
+/// Restart budget for shard supervision (`engine::ShardedEngine::start`
+/// with a policy). The watchdog ladder recovers *within* an executor;
+/// supervision is the next rung up — when every replica of a shard's
+/// executor is wedged, the shard's worker tears the executor down and
+/// builds a fresh one from the digest-pinned build, requeueing the
+/// in-flight frames. Budgeted and backed off so a hard fault cannot turn
+/// into a restart storm: past `max_restarts` the shard trips and drains
+/// its queue as counted losses instead of restarting forever.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorPolicy {
     /// Restarts granted per shard before it trips.
@@ -396,14 +396,10 @@ pub struct Watchdog {
 
 fn zero_timing(total: SimDuration, read: SimDuration) -> FrameTiming {
     FrameTiming {
-        write: SimDuration::ZERO,
-        control: SimDuration::ZERO,
-        compute: SimDuration::ZERO,
-        irq: SimDuration::ZERO,
         read,
         misc: total.saturating_sub(read),
-        preempted: false,
         total,
+        ..FrameTiming::default()
     }
 }
 

@@ -1498,15 +1498,11 @@ fn hub_loop(
                             frame.packets.iter().map(HubPacket::encoded_len).collect();
                         *sim_ingest += cfg.eth.frame_ingest_time(&payloads);
                         let sequence = frame.sequence;
-                        // Route through the session's tenant; tenant 0
-                        // takes the legacy path so a gateway that never
-                        // sees a `TenantSelect` behaves bit-identically.
-                        let tenant = board.tenant_of(conn);
-                        let accepted = if tenant == 0 {
-                            engine.submit(frame)
-                        } else {
-                            engine.submit_for(tenant, frame).unwrap_or(false)
-                        };
+                        // Route through the session's tenant (tenant 0
+                        // until the session sends a `TenantSelect`).
+                        let accepted = engine
+                            .submit_for(board.tenant_of(conn), frame)
+                            .unwrap_or(false);
                         if accepted {
                             board.counters.frames_accepted += 1;
                             if cfg.ack_frames {

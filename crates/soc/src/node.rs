@@ -21,8 +21,8 @@ use reads_hls4ml::Firmware;
 use reads_sim::{EventQueue, Rng, SimDuration, SimTime};
 use serde::Serialize;
 
-/// Per-frame timing decomposition (Steps 1–8).
-#[derive(Debug, Clone, Copy, Serialize)]
+/// Per-frame timing decomposition (Steps 1–8). The default is all zero.
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct FrameTiming {
     /// Step 1: input write through the bridge.
     pub write: SimDuration,

@@ -139,7 +139,7 @@ fn resumed_sessions_survive_forced_cuts_bit_identically() {
     // the requeued frames are re-served by the clean respawn.
     let fw_engine = fw.clone();
     let mut first_build_of_shard_1 = true;
-    let engine = ShardedEngine::start_supervised(
+    let engine = ShardedEngine::start(
         &EngineConfig {
             workers: 2,
             drop_policy: DropPolicy::Block,
@@ -161,11 +161,11 @@ fn resumed_sessions_survive_forced_cuts_bit_identically() {
             }
             Box::new(exec)
         },
-        SupervisorPolicy {
+        Some(SupervisorPolicy {
             max_restarts: 3,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(5),
-        },
+        }),
     );
     let gw_cfg = GatewayConfig {
         outbound_queue: 8192,

@@ -48,6 +48,7 @@ fn worker_count_does_not_change_outputs() {
     let std = standardizer();
     let stream = MultiChainSource::new(6, 77).ticks(10);
     let run = |workers: usize| {
+        let fw = fw.clone();
         ShardedEngine::run_stream(
             &EngineConfig {
                 workers,
@@ -55,7 +56,7 @@ fn worker_count_does_not_change_outputs() {
                 ..EngineConfig::default()
             },
             &std,
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            move |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
             stream.clone(),
         )
         .0
@@ -128,14 +129,19 @@ fn drop_newest_sheds_exactly_the_overflow() {
         ..EngineConfig::default()
     };
     let worker_barrier = barrier.clone();
-    let mut engine = ShardedEngine::start(&cfg, &standardizer(), move |_| {
-        Box::new(BarrierExecutor {
-            barrier: worker_barrier.clone(),
-            entered: entered_tx.clone(),
-            held_once: AtomicBool::new(false),
-            out_len: 520,
-        })
-    });
+    let mut engine = ShardedEngine::start(
+        &cfg,
+        &standardizer(),
+        move |_| {
+            Box::new(BarrierExecutor {
+                barrier: worker_barrier.clone(),
+                entered: entered_tx.clone(),
+                held_once: AtomicBool::new(false),
+                out_len: 520,
+            })
+        },
+        None,
+    );
 
     let stream = MultiChainSource::new(1, 5).ticks(8);
     let mut accepted = 0;
@@ -181,7 +187,7 @@ fn block_policy_is_lossless() {
             ..EngineConfig::default()
         },
         &standardizer(),
-        |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+        move |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
         stream,
     );
     assert_eq!(results.len(), total);
@@ -200,7 +206,7 @@ fn wedged_shard_degrades_only_itself() {
             ..EngineConfig::default()
         },
         &standardizer(),
-        |shard| {
+        move |shard| {
             let mut exec = SocExecutor::new(
                 fw.clone(),
                 &hps,

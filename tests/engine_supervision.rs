@@ -1,24 +1,30 @@
 //! Shard-supervision contracts.
 //!
-//! PR 1 proved the watchdog ladder inside one SoC; PR 2 proved a wedged
-//! shard degrades only itself. The supervisor closes the loop: a shard
-//! whose *every* replica wedges is restarted with a fresh executor built
+//! The watchdog ladder recovers inside one SoC, and an unsupervised wedged
+//! shard degrades only itself. Supervision closes the loop: a shard whose
+//! *every* replica wedges restarts in place with a fresh executor built
 //! from the same digest-pinned firmware, its in-flight frames are
-//! re-served, and the episode is visible in the counters — while a shard
-//! that keeps wedging past its restart budget **trips** (it never
+//! re-served in order, and the episode is visible in the counters — while
+//! a shard that keeps wedging past its restart budget **trips** (it never
 //! panics, and it never stalls a `Block`-policy submitter).
 
+use reads::blm::acnet::DeblendVerdict;
+use reads::blm::hubs::assemble_frame;
 use reads::blm::hubs::MultiChainSource;
 use reads::blm::Standardizer;
 use reads::central::engine::{
-    DropPolicy, EngineConfig, NativeExecutor, ShardedEngine, SocExecutor,
+    BatchOutcome, DropPolicy, EngineConfig, NativeExecutor, ShardExecutor, ShardedEngine,
+    SocExecutor,
 };
 use reads::central::resilience::{HealthState, SupervisorPolicy, WatchdogPolicy};
 use reads::hls4ml::{convert, profile_model, Firmware, HlsConfig};
 use reads::nn::models;
 use reads::soc::faults::FaultPlan;
+use reads::soc::node::FrameTiming;
 use reads::soc::HpsModel;
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn mlp_firmware(seed: u64) -> Firmware {
     let m = models::reads_mlp(seed);
@@ -55,16 +61,22 @@ fn supervisor_restarts_wedged_shard_and_reserves_in_flight_frames() {
     let total = stream.len();
 
     // Reference: the same stream through a never-faulted native engine.
+    let fw_reference = fw.clone();
     let (want, _) = ShardedEngine::run_stream(
         &EngineConfig::default(),
         &std,
-        |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+        move |_| {
+            Box::new(NativeExecutor::compiled(
+                &fw_reference,
+                &HpsModel::default(),
+            ))
+        },
         stream.clone(),
     );
 
     let mut incarnation = 0u32;
     let fw_factory = fw.clone();
-    let mut engine = ShardedEngine::start_supervised(
+    let mut engine = ShardedEngine::start(
         &EngineConfig {
             workers: 1,
             ..EngineConfig::default()
@@ -90,7 +102,7 @@ fn supervisor_restarts_wedged_shard_and_reserves_in_flight_frames() {
             incarnation += 1;
             Box::new(exec)
         },
-        fast_policy(3),
+        Some(fast_policy(3)),
     );
     for f in stream {
         engine.submit(f);
@@ -133,7 +145,7 @@ fn shard_exceeding_restart_budget_trips_without_stalling() {
     let total = stream.len();
 
     let fw_factory = fw.clone();
-    let mut engine = ShardedEngine::start_supervised(
+    let mut engine = ShardedEngine::start(
         &EngineConfig {
             workers: 1,
             queue_depth: 4, // small queue: Block backpressure is exercised
@@ -155,7 +167,7 @@ fn shard_exceeding_restart_budget_trips_without_stalling() {
             exec.array_mut().mark_wedged(1);
             Box::new(exec)
         },
-        fast_policy(2),
+        Some(fast_policy(2)),
     );
     for f in stream {
         engine.submit(f); // Block policy: this would deadlock on a stall
@@ -174,4 +186,133 @@ fn shard_exceeding_restart_budget_trips_without_stalling() {
         "past-budget shard trips loudly"
     );
     assert_eq!(report.worst_health(), HealthState::Tripped);
+}
+
+/// Compiled native executor that serves `serve` batches, then wedges
+/// partway through the next one: it answers that batch's first frame and
+/// returns `None` for the rest. The first batch waits on `gate`, so the
+/// test can queue its whole stream before anything runs.
+struct WedgesAfter {
+    inner: NativeExecutor,
+    gate: Option<Arc<Barrier>>,
+    serve: usize,
+    wedged: bool,
+}
+
+impl ShardExecutor for WedgesAfter {
+    fn input_len(&self) -> usize {
+        self.inner.input_len()
+    }
+
+    fn run_batch(&mut self, inputs: &[Vec<f64>]) -> BatchOutcome {
+        if let Some(gate) = self.gate.take() {
+            gate.wait();
+        }
+        if self.serve > 0 {
+            self.serve -= 1;
+            return self.inner.run_batch(inputs);
+        }
+        self.wedged = true;
+        let mut outcome = self.inner.run_batch(&inputs[..1]);
+        outcome.outputs.resize(inputs.len(), None);
+        outcome.timings.resize(inputs.len(), FrameTiming::default());
+        outcome
+    }
+
+    fn wedged(&self) -> bool {
+        self.wedged
+    }
+}
+
+/// A shard that wedges mid-stream, with a backlog queued behind the
+/// failing batch, restarts in place: the frames it dropped are re-served
+/// ahead of the backlog, every verdict is bit-identical to the
+/// interpreter, and each chain's results arrive in ascending sequence.
+#[test]
+fn restart_mid_stream_with_backlog_reserves_in_arrival_order() {
+    let fw = mlp_firmware(44);
+    let std = standardizer();
+    let stream = MultiChainSource::new(3, 57).ticks(10);
+    let total = stream.len();
+
+    // Oracle: the interpreter, one frame at a time.
+    let n_in = fw.input_len * fw.input_channels;
+    let expect: BTreeMap<(u32, u32), DeblendVerdict> = stream
+        .iter()
+        .map(|cf| {
+            let readings = assemble_frame(&cf.packets).unwrap();
+            let (out, _) = fw.infer(&std.apply_frame(&readings[..n_in]));
+            let verdict = DeblendVerdict::from_split_halves(cf.sequence, &out);
+            ((cf.chain, cf.sequence), verdict)
+        })
+        .collect();
+
+    let gate = Arc::new(Barrier::new(2));
+    let worker_gate = Arc::clone(&gate);
+    let fw_factory = fw.clone();
+    let mut builds = 0u32;
+    let mut engine = ShardedEngine::start(
+        &EngineConfig {
+            workers: 1,
+            batch: 2,
+            queue_depth: 256,
+            drop_policy: DropPolicy::Block,
+            ..EngineConfig::default()
+        },
+        &std,
+        move |_| {
+            let inner = NativeExecutor::compiled(&fw_factory, &HpsModel::default());
+            builds += 1;
+            if builds == 1 {
+                Box::new(WedgesAfter {
+                    inner,
+                    gate: Some(Arc::clone(&worker_gate)),
+                    serve: 3,
+                    wedged: false,
+                })
+            } else {
+                Box::new(inner)
+            }
+        },
+        Some(fast_policy(3)),
+    );
+    for f in stream {
+        assert!(engine.submit(f));
+    }
+    gate.wait(); // the whole stream is queued; let the first batch run
+
+    let mut arrived = Vec::with_capacity(total);
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while arrived.len() < total && Instant::now() < give_up {
+        arrived.extend(engine.poll_results());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (rest, report) = engine.finish();
+    arrived.extend(rest);
+
+    assert_eq!(arrived.len(), total, "every frame was served exactly once");
+    let mut last: BTreeMap<u32, u32> = BTreeMap::new();
+    for r in &arrived {
+        assert_eq!(
+            r.verdict,
+            expect[&(r.chain, r.sequence)],
+            "chain {} seq {} drifted across the restart",
+            r.chain,
+            r.sequence
+        );
+        if let Some(prev) = last.insert(r.chain, r.sequence) {
+            assert!(
+                r.sequence > prev,
+                "chain {} delivered seq {} after {prev}",
+                r.chain,
+                r.sequence
+            );
+        }
+    }
+    let shard = &report.shards[0];
+    assert_eq!(shard.processed as usize, total);
+    assert_eq!(shard.lost, 0, "restart means re-serve, not loss");
+    assert_eq!(shard.counters.shard_restarts, 1, "exactly one restart");
+    assert_eq!(shard.counters.restarts_denied, 0);
+    assert_eq!(shard.health, HealthState::Degraded);
 }
